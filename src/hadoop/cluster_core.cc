@@ -93,6 +93,7 @@ ClusterCore::ClusterCore(ClusterConfig cfg)
     n.free_gpu = cfg_.gpus_per_node;
   }
   health_.resize(static_cast<std::size_t>(cfg_.num_slaves));
+  node_running_.resize(static_cast<std::size_t>(cfg_.num_slaves));
   lost_tasks_.resize(static_cast<std::size_t>(cfg_.num_slaves));
   recover_events_.resize(static_cast<std::size_t>(cfg_.num_slaves));
   if (cfg_.sink != nullptr) {
@@ -153,6 +154,8 @@ void ClusterCore::InitJob(JobState& job) {
   job.committed_node.assign(n, -1);
   job.committed_bytes.assign(n, 0);
   job.retry_at.assign(n, -1.0);
+  job.live_attempts.assign(n, 0);
+  job.attempt_ids.clear();
 }
 
 sched::NodeSched ClusterCore::SchedView(const JobState& job,
@@ -186,6 +189,7 @@ bool ClusterCore::NodeSchedulable(int node_id) const {
 }
 
 bool ClusterCore::HeartbeatDelivered(int node_id) {
+  if (index_audit_ != nullptr) AuditIndex(node_id);
   NodeHealth& h = health_[static_cast<std::size_t>(node_id)];
   // A tracker that never joined or already left does not heartbeat.
   if (!h.member || h.departed) return false;
@@ -205,6 +209,7 @@ bool ClusterCore::HeartbeatDelivered(int node_id) {
     return false;
   }
   h.last_heartbeat_sec = events_.now();
+  lease_floor_ = std::min(lease_floor_, h.last_heartbeat_sec);
   if (h.lost) {
     // A tracker the JobTracker gave up on is heartbeating again: it
     // re-registers as a fresh tracker with a clean failure record
@@ -286,6 +291,7 @@ void ClusterCore::GrowArraysTo(int n) {
     h.alive = false;
     health_.push_back(h);
   }
+  node_running_.resize(count);
   lost_tasks_.resize(count);
   recover_events_.resize(count);
   if (cfg_.sink != nullptr) {
@@ -344,6 +350,7 @@ void ClusterCore::AdmitNode(int node_id) {
   h.lost = false;
   h.joined_sec = events_.now();
   h.last_heartbeat_sec = events_.now();
+  lease_floor_ = std::min(lease_floor_, h.last_heartbeat_sec);
   nodes_[i].free_cpu = cfg_.map_slots_per_node;
   nodes_[i].free_gpu = cfg_.gpus_per_node;
   ++nodes_joined_;
@@ -401,14 +408,7 @@ void ClusterCore::LeaveNow(int node_id, bool drain) {
       cfg_.sink->Instant("membership", "drain_start", NodeTrack(node_id, 0),
                          events_.now(), {trace::Arg::Int("node", node_id)});
     }
-    bool busy = false;
-    for (const auto& [id, at] : running_) {
-      if (at.node == node_id) {
-        busy = true;
-        break;
-      }
-    }
-    if (!busy) DepartNode(node_id);
+    if (node_running_[i] == 0) DepartNode(node_id);
     return;
   }
   // Hard leave: the tracker's running attempts die with it and its
@@ -592,6 +592,7 @@ void ClusterCore::RecoverNode(int node_id) {
   h.blacklisted = false;
   h.failed_attempts = 0;
   h.last_heartbeat_sec = events_.now();
+  lease_floor_ = std::min(lease_floor_, h.last_heartbeat_sec);
   ++nodes_recovered_;
   if (cfg_.metrics != nullptr) {
     cfg_.metrics->counter("fault.node_recoveries").Add(1);
@@ -610,14 +611,21 @@ void ClusterCore::RecoverNode(int node_id) {
 }
 
 void ClusterCore::CheckExpiry() {
+  // Subtraction rounds monotonically, so now - lease <= now - lease_floor_
+  // for every live lease: within the window, no tracker can have expired.
+  if (events_.now() - lease_floor_ <= cfg_.heartbeat_expiry_sec) return;
+  double floor = std::numeric_limits<double>::infinity();
   for (int node = 0; node < static_cast<int>(health_.size()); ++node) {
     NodeHealth& h = health_[static_cast<std::size_t>(node)];
     if (!h.member || h.departed) continue;
     if (h.lost) continue;
     if (events_.now() - h.last_heartbeat_sec > cfg_.heartbeat_expiry_sec) {
       DeclareLost(node);
+    } else {
+      floor = std::min(floor, h.last_heartbeat_sec);
     }
   }
+  lease_floor_ = floor;
 }
 
 void ClusterCore::DeclareLost(int node_id) {
@@ -689,13 +697,6 @@ void ClusterCore::RequeueLostTasks(int node_id) {
   lost.clear();
 }
 
-bool ClusterCore::HasRunningAttempt(const JobState& job, int task) const {
-  for (const auto& [id, at] : running_) {
-    if (at.job == &job && at.task == task) return true;
-  }
-  return false;
-}
-
 void ClusterCore::KillAttemptsOn(int node_id) {
   std::vector<std::int64_t> ids;
   for (const auto& [id, at] : running_) {
@@ -712,8 +713,7 @@ void ClusterCore::KillAttemptsOn(int node_id) {
 void ClusterCore::KillAttempt(std::int64_t id, const char* why) {
   auto it = running_.find(id);
   if (it == running_.end()) return;
-  const Attempt at = it->second;
-  running_.erase(it);
+  const Attempt at = EraseAttempt(it);
   events_.Cancel(at.outcome_event);
   JobState& job = *at.job;
   const double elapsed = events_.now() - at.start_sec;
@@ -976,34 +976,14 @@ void ClusterCore::StartMap(JobState& job, int node_id, int task, bool on_gpu,
     at.outcome_event =
         events_.After(duration, &ClusterCore::AttemptDoneEvent, this, payload);
   }
-  running_.emplace(id, at);
+  InsertAttempt(at);
 }
 
 void ClusterCore::MaybeSpeculate(JobState& job, int node_id) {
   if (!cfg_.speculation || job.done || !job.pending.empty()) return;
   const NodeSlots& node = nodes_[static_cast<std::size_t>(node_id)];
   if (node.free_cpu == 0 && node.free_gpu == 0) return;
-  // Count running attempts per task: only singly-attempted tasks qualify
-  // (one speculative duplicate at most), and not ones on this very node
-  // (a duplicate should not share the original's failure domain).
-  std::map<int, int> attempts_of;
-  for (const auto& [id, at] : running_) {
-    if (at.job == &job) ++attempts_of[at.task];
-  }
-  double best_ratio = cfg_.speculation_slowdown;
-  int best_task = -1;
-  for (const auto& [id, at] : running_) {
-    if (at.job != &job || at.speculative) continue;
-    if (at.node == node_id) continue;
-    if (attempts_of[at.task] != 1) continue;
-    const double mean = job.MeanDuration(at.on_gpu);
-    if (mean <= 0.0) continue;
-    const double ratio = (events_.now() - at.start_sec) / mean;
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      best_task = at.task;
-    }
-  }
+  const auto [best_task, best_ratio] = SpeculationCandidate(job, node_id);
   if (best_task < 0) return;
   // Tail composition: a speculative attempt prefers an idle GPU — the
   // straggler is by definition in the tail, where Algorithm 2 forces GPUs.
@@ -1025,6 +1005,118 @@ void ClusterCore::MaybeSpeculate(JobState& job, int node_id) {
   StartMap(job, node_id, best_task, on_gpu, /*speculative=*/true);
 }
 
+ClusterCore::SpecCandidate ClusterCore::SpeculationCandidate(
+    const JobState& job, int node_id) const {
+  // Only singly-attempted tasks qualify (one speculative duplicate at
+  // most), and not ones on this very node (a duplicate should not share
+  // the original's failure domain). attempt_ids ascends, so the strict >
+  // keeps the lowest attempt id among equal ratios.
+  SpecCandidate best{-1, cfg_.speculation_slowdown};
+  for (std::int64_t id : job.attempt_ids) {
+    const Attempt& at = running_.find(id)->second;
+    if (at.speculative || at.node == node_id) continue;
+    if (job.live_attempts[static_cast<std::size_t>(at.task)] != 1) continue;
+    const double mean = job.MeanDuration(at.on_gpu);
+    if (mean <= 0.0) continue;
+    const double ratio = (events_.now() - at.start_sec) / mean;
+    if (ratio > best.ratio) best = {at.task, ratio};
+  }
+  return best;
+}
+
+void ClusterCore::InsertAttempt(const Attempt& at) {
+  running_.emplace(at.id, at);
+  JobState& job = *at.job;
+  ++job.live_attempts[static_cast<std::size_t>(at.task)];
+  // Ids are handed out ascending and restored in ascending order, so this
+  // is an append; upper_bound keeps the list sorted regardless.
+  job.attempt_ids.insert(std::upper_bound(job.attempt_ids.begin(),
+                                          job.attempt_ids.end(), at.id),
+                         at.id);
+  ++node_running_[static_cast<std::size_t>(at.node)];
+}
+
+ClusterCore::Attempt ClusterCore::EraseAttempt(Registry::iterator it) {
+  const Attempt at = it->second;
+  running_.erase(it);
+  JobState& job = *at.job;
+  --job.live_attempts[static_cast<std::size_t>(at.task)];
+  job.attempt_ids.erase(std::lower_bound(job.attempt_ids.begin(),
+                                         job.attempt_ids.end(), at.id));
+  --node_running_[static_cast<std::size_t>(at.node)];
+  return at;
+}
+
+void ClusterCore::AuditIndex(int node_id) {
+  IndexAudit& audit = *index_audit_;
+  ++audit.heartbeats;
+  const std::string where = "t=" + std::to_string(events_.now()) +
+                            " heartbeat node=" + std::to_string(node_id) +
+                            ": ";
+  std::map<std::pair<const JobState*, int>, int> live;
+  std::map<const JobState*, std::vector<std::int64_t>> ids;
+  std::vector<int> per_node(node_running_.size(), 0);
+  for (const auto& [id, at] : running_) {
+    ++live[{at.job, at.task}];
+    ids[at.job].push_back(id);
+    ++per_node[static_cast<std::size_t>(at.node)];
+  }
+  for (std::size_t n = 0; n < per_node.size(); ++n) {
+    if (per_node[n] != node_running_[n]) {
+      audit.violations.push_back(where + "node " + std::to_string(n) +
+                                 " runs " + std::to_string(per_node[n]) +
+                                 " attempts, index says " +
+                                 std::to_string(node_running_[n]));
+    }
+  }
+  const auto check_job = [&](const JobState& job) {
+    for (std::size_t t = 0; t < job.live_attempts.size(); ++t) {
+      const auto found = live.find({&job, static_cast<int>(t)});
+      const int scanned = found == live.end() ? 0 : found->second;
+      if (scanned != job.live_attempts[t]) {
+        audit.violations.push_back(
+            where + "job " + std::to_string(job.id) + " task " +
+            std::to_string(t) + " has " + std::to_string(scanned) +
+            " live attempts, index says " +
+            std::to_string(job.live_attempts[t]));
+      }
+    }
+    const auto found = ids.find(&job);
+    if ((found == ids.end() ? std::vector<std::int64_t>{} : found->second) !=
+        job.attempt_ids) {
+      audit.violations.push_back(where + "job " + std::to_string(job.id) +
+                                 " attempt id list differs from the registry");
+    }
+  };
+  for (const auto& [job, list] : ids) check_job(*job);
+  VisitActiveJobs([&](JobState& job) {
+    if (ids.count(&job) == 0) check_job(job);
+    // Reference candidate: two passes over the whole registry with a
+    // per-task attempt count.
+    std::map<int, int> attempts_of;
+    for (const auto& [id, at] : running_) {
+      if (at.job == &job) ++attempts_of[at.task];
+    }
+    SpecCandidate scanned{-1, cfg_.speculation_slowdown};
+    for (const auto& [id, at] : running_) {
+      if (at.job != &job || at.speculative) continue;
+      if (at.node == node_id) continue;
+      if (attempts_of[at.task] != 1) continue;
+      const double mean = job.MeanDuration(at.on_gpu);
+      if (mean <= 0.0) continue;
+      const double ratio = (events_.now() - at.start_sec) / mean;
+      if (ratio > scanned.ratio) scanned = {at.task, ratio};
+    }
+    const SpecCandidate indexed = SpeculationCandidate(job, node_id);
+    if (scanned.task != indexed.task || scanned.ratio != indexed.ratio) {
+      audit.violations.push_back(
+          where + "job " + std::to_string(job.id) +
+          " speculation candidate is task " + std::to_string(scanned.task) +
+          ", index says task " + std::to_string(indexed.task));
+    }
+  });
+}
+
 void ClusterCore::FreeSlot(int node_id, bool on_gpu, int lane) {
   NodeSlots& node = nodes_[static_cast<std::size_t>(node_id)];
   if (on_gpu) {
@@ -1040,10 +1132,8 @@ void ClusterCore::FreeSlot(int node_id, bool on_gpu, int lane) {
   // A draining tracker departs the moment its last attempt lets go of a
   // slot (the caller has already removed that attempt from the registry).
   NodeHealth& h = health_[static_cast<std::size_t>(node_id)];
-  if (h.draining && !h.departed) {
-    for (const auto& [id, at] : running_) {
-      if (at.node == node_id) return;
-    }
+  if (h.draining && !h.departed &&
+      node_running_[static_cast<std::size_t>(node_id)] == 0) {
     DepartNode(node_id);
   }
 }
@@ -1051,8 +1141,7 @@ void ClusterCore::FreeSlot(int node_id, bool on_gpu, int lane) {
 void ClusterCore::OnAttemptDone(std::int64_t id) {
   auto it = running_.find(id);
   if (it == running_.end()) return;  // killed while in flight
-  const Attempt at = it->second;
-  running_.erase(it);
+  const Attempt at = EraseAttempt(it);
   JobState& job = *at.job;
   JobNodeStats& stats = job.node_stats[static_cast<std::size_t>(at.node)];
   const auto t = static_cast<std::size_t>(at.task);
@@ -1113,8 +1202,10 @@ void ClusterCore::OnAttemptDone(std::int64_t id) {
   --job.remaining_maps;
   ++job.maps_done;
   std::vector<std::int64_t> losers;
-  for (const auto& [oid, other] : running_) {
-    if (other.job == &job && other.task == at.task) losers.push_back(oid);
+  if (job.live_attempts[t] != 0) {
+    for (std::int64_t oid : job.attempt_ids) {
+      if (running_.at(oid).task == at.task) losers.push_back(oid);
+    }
   }
   for (std::int64_t oid : losers) {
     const bool loser_speculative = running_.at(oid).speculative;
@@ -1142,8 +1233,7 @@ void ClusterCore::OnAttemptDone(std::int64_t id) {
 void ClusterCore::OnAttemptFailed(std::int64_t id) {
   auto it = running_.find(id);
   if (it == running_.end()) return;  // killed while in flight
-  const Attempt at = it->second;
-  running_.erase(it);
+  const Attempt at = EraseAttempt(it);
   JobState& job = *at.job;
   const auto t = static_cast<std::size_t>(at.task);
   const double elapsed = events_.now() - at.start_sec;
@@ -1511,6 +1601,7 @@ void ClusterCore::ApplyClusterPre(const json::Value& cluster) {
   nodes_joined_ = ckpt::Int(cluster, "nodes_joined");
   nodes_left_ = ckpt::Int(cluster, "nodes_left");
   leaves_refused_ = ckpt::Int(cluster, "leaves_refused");
+  lease_floor_ = -std::numeric_limits<double>::infinity();
   outages_.clear();
   for (const json::Value& o : ckpt::Arr(cluster, "outages")) {
     if (!o.is_array() || o.array.size() != 2) {
@@ -1701,6 +1792,9 @@ void ClusterCore::ApplyJobState(const json::Value& entry, JobState& job) {
     job.committed_bytes.push_back(static_cast<std::int64_t>(v.number));
   }
   job.retry_at = ReadDoubleVec(entry, "retry_at");
+  // The attempt index is derived state: ApplyAttempts rebuilds it.
+  job.live_attempts.assign(job.task_state.size(), 0);
+  job.attempt_ids.clear();
   job.cpu_dur_sum = ckpt::Num(entry, "cpu_dur_sum");
   job.cpu_dur_n = ckpt::Int(entry, "cpu_dur_n");
   job.gpu_dur_sum = ckpt::Num(entry, "gpu_dur_sum");
@@ -1760,6 +1854,13 @@ void ClusterCore::ApplyAttempts(
     at.task = static_cast<int>(ckpt::Int(rec, "task"));
     at.index = static_cast<int>(ckpt::Int(rec, "index"));
     at.node = static_cast<int>(ckpt::Int(rec, "node"));
+    if (at.task < 0 ||
+        at.task >= static_cast<int>(at.job->live_attempts.size()) ||
+        at.node < 0 || at.node >= static_cast<int>(nodes_.size())) {
+      throw CheckpointError("corrupt checkpoint: attempt " +
+                            std::to_string(at.id) +
+                            " names a task or tracker out of range");
+    }
     at.on_gpu = ckpt::Bool(rec, "gpu");
     at.speculative = ckpt::Bool(rec, "spec");
     at.start_sec = ckpt::Num(rec, "start");
@@ -1783,7 +1884,7 @@ void ClusterCore::ApplyAttempts(
                          this, payload)
             : events_.At(at.outcome_at, &ClusterCore::AttemptDoneEvent, this,
                          payload);
-    running_.emplace(at.id, at);
+    InsertAttempt(at);
   }
   for (const json::Value& rec : ckpt::Arr(cluster, "lost")) {
     const int job_id = static_cast<int>(ckpt::Int(rec, "job"));
@@ -1792,8 +1893,16 @@ void ClusterCore::ApplyAttempts(
       throw CheckpointError("checkpoint lost-task references unknown job " +
                             std::to_string(job_id));
     }
-    lost_tasks_[static_cast<std::size_t>(ckpt::Int(rec, "node"))]
-        .emplace_back(job, static_cast<int>(ckpt::Int(rec, "task")));
+    const std::int64_t node = ckpt::Int(rec, "node");
+    const std::int64_t task = ckpt::Int(rec, "task");
+    if (node < 0 || node >= static_cast<std::int64_t>(lost_tasks_.size()) ||
+        task < 0 ||
+        task >= static_cast<std::int64_t>(job->live_attempts.size())) {
+      throw CheckpointError(
+          "corrupt checkpoint: lost task names a task or tracker out of range");
+    }
+    lost_tasks_[static_cast<std::size_t>(node)].emplace_back(
+        job, static_cast<int>(task));
   }
 }
 

@@ -270,6 +270,13 @@ struct JobState {
   // (checkpointed so a restore re-arms it); -1 otherwise.
   std::vector<double> retry_at;
 
+  // Attempt index, derived from ClusterCore's registry and never
+  // checkpointed: running attempts per task (at most an original and one
+  // speculative duplicate, so a byte), and this job's running attempt ids
+  // in ascending order.
+  std::vector<unsigned char> live_attempts;
+  std::vector<std::int64_t> attempt_ids;
+
   // Job-wide completed-duration averages feeding the speculation
   // straggler threshold.
   double cpu_dur_sum = 0.0;
@@ -348,6 +355,17 @@ class ClusterCore {
   // Sequence number of the last checkpoint written (0 = none yet).
   int checkpoint_seq() const { return checkpoint_seq_; }
 
+  // Test-only audit of the derived attempt index. While set, every
+  // heartbeat recomputes from a full registry scan the live attempts of
+  // each task, the running attempts of each node, each job's attempt id
+  // list and each active job's speculation candidate for the heartbeating
+  // node, and appends every disagreement with the index to `violations`.
+  struct IndexAudit {
+    std::int64_t heartbeats = 0;
+    std::vector<std::string> violations;
+  };
+  void set_index_audit_for_test(IndexAudit* audit) { index_audit_ = audit; }
+
  protected:
   // One in-flight map attempt. The DES completion/failure event carries
   // only the attempt id; `outcome_event` is its generation handle, and
@@ -415,6 +433,15 @@ class ClusterCore {
   // when the job's pending queue is empty; a no-op unless
   // cfg_.speculation is set.
   void MaybeSpeculate(JobState& job, int node_id);
+  // The straggler MaybeSpeculate would duplicate on `node_id`: the
+  // non-speculative, singly-attempted running task of `job` off that node
+  // with the largest elapsed/mean ratio above speculation_slowdown, ties
+  // to the lowest attempt id. task < 0 when there is none.
+  struct SpecCandidate {
+    int task = -1;
+    double ratio = 0.0;
+  };
+  SpecCandidate SpeculationCandidate(const JobState& job, int node_id) const;
   void OnMapsProgress(JobState& job);
   void FinishJob(JobState& job);
 
@@ -519,7 +546,9 @@ class ClusterCore {
   // kill victims through the same path node loss uses.
   void KillAttempt(std::int64_t id, const char* why);
   void RequeueTask(JobState& job, int task);
-  bool HasRunningAttempt(const JobState& job, int task) const;
+  bool HasRunningAttempt(const JobState& job, int task) const {
+    return job.live_attempts[static_cast<std::size_t>(task)] != 0;
+  }
 
   // One scheduled membership change. The plan is checkpointed (fired
   // entries and all) so a restored run can match it against the caller's
@@ -574,10 +603,16 @@ class ClusterCore {
   // health_.
   std::vector<des::EventHandle> recover_events_;
 
-  // In-flight attempt registry (Hadoop 1.x attempt ids). Protected so the
-  // multi-job engine's preemption can pick victims and the checkpoint
-  // writer can serialize it.
-  std::map<std::int64_t, Attempt> running_;
+  // In-flight attempt registry (Hadoop 1.x attempt ids), in id order:
+  // checkpoints, KillAttemptsOn and every tie-break rely on that order.
+  // Protected so the multi-job engine's preemption can pick victims and
+  // the checkpoint writer can serialize it; only InsertAttempt and
+  // EraseAttempt write it.
+  using Registry = std::map<std::int64_t, Attempt>;
+  Registry running_;
+  // Running attempts per node; with JobState::live_attempts and
+  // JobState::attempt_ids, the index InsertAttempt/EraseAttempt derive.
+  std::vector<int> node_running_;
   std::int64_t next_attempt_id_ = 1;
   // (job, task) pairs whose attempts died with the node, awaiting the
   // expiry sweep. Indexed by node.
@@ -643,6 +678,19 @@ class ClusterCore {
   // after an outage shorter than the expiry window).
   void RequeueLostTasks(int node_id);
   void FreeSlot(int node_id, bool on_gpu, int lane);
+
+  // The only writers of running_: each keeps the attempt index in step.
+  void InsertAttempt(const Attempt& at);
+  Attempt EraseAttempt(Registry::iterator it);
+  // Compares the index with a full registry scan (set_index_audit_for_test).
+  void AuditIndex(int node_id);
+
+  // Lower bound on the last heartbeat of every registered, not-lost
+  // tracker: while now minus it is within the expiry window, no tracker
+  // can have expired and CheckExpiry skips its walk. -infinity forces
+  // the next walk (a restore resets it so).
+  double lease_floor_ = -std::numeric_limits<double>::infinity();
+  IndexAudit* index_audit_ = nullptr;
 };
 
 }  // namespace hd::hadoop

@@ -166,58 +166,84 @@ void MultiJobEngine::ClusterHeartbeat(int node_id) {
   EmitHeartbeat(node_id);
   // A blacklisted tracker keeps heartbeating but gets no work.
   if (!NodeSchedulable(node_id)) return;
+  // Without a free slot no job is runnable and speculation has nowhere to
+  // go: only a quota preemption could open a slot, so without one the
+  // response is empty.
+  const bool preemptive = cfg_.preemption_budget > 0;
+  const hadoop::NodeSlots& slots = nodes_[static_cast<std::size_t>(node_id)];
+  if (!preemptive && slots.free_cpu == 0 && slots.free_gpu == 0) return;
   // Per-job heartbeat allowances and numMapsRemainingPerNode estimates,
   // computed once at response-construction time exactly as the single-job
-  // JobTracker does (Algorithm 2 lines 8-9).
+  // JobTracker does (Algorithm 2 lines 8-9). A job without pending maps
+  // cannot become runnable during the response unless a preemption hands
+  // its victim's task back, so only then are its entries needed.
   const std::size_t n_active = active_.size();
-  std::vector<int> cap(n_active);
-  std::vector<int> assigned(n_active, 0);
-  std::vector<double> rem_per_node(n_active);
+  cap_.assign(n_active, 0);
+  assigned_.assign(n_active, 0);
+  rem_per_node_.assign(n_active, 0.0);
   for (std::size_t i = 0; i < n_active; ++i) {
-    cap[i] = HeartbeatCap(*active_[i], node_id);
-    rem_per_node[i] =
-        static_cast<double>(active_[i]->pending.size()) / cfg_.num_slaves;
+    const JobState& job = *active_[i];
+    if (!preemptive && job.pending.empty()) continue;
+    cap_[i] = HeartbeatCap(job, node_id);
+    rem_per_node_[i] =
+        static_cast<double>(job.pending.size()) / cfg_.num_slaves;
   }
-  const std::vector<const JobState*> active_view(active_.begin(),
-                                                 active_.end());
+  active_view_.assign(active_.begin(), active_.end());
   // Fill the response slot-by-slot so Fair/Capacity shares interleave jobs
   // within a single heartbeat, not only across heartbeats. When quota
   // preemption frees a slot the fill loop reruns for it; with
   // preemption_budget 0 (the default) MaybePreemptOn is a constant false
   // and the response is built exactly once, as before.
   do {
-    for (;;) {
-      std::vector<const JobState*> runnable;
-      std::vector<std::size_t> index;
-      for (std::size_t i = 0; i < n_active; ++i) {
-        const JobState& job = *active_[i];
-        if (!job.pending.empty() && assigned[i] < cap[i] &&
-            NodeHasUsableSlot(job, node_id)) {
-          runnable.push_back(&job);
-          index.push_back(i);
-        }
+    runnable_.clear();
+    runnable_index_.clear();
+    for (std::size_t i = 0; i < n_active; ++i) {
+      if (Runnable(i, node_id)) {
+        runnable_.push_back(active_[i]);
+        runnable_index_.push_back(i);
       }
-      if (runnable.empty()) break;
-      const std::size_t pick = scheduler_->PickJob(runnable, active_view);
-      HD_CHECK_MSG(pick < runnable.size(), "scheduler picked out of range");
-      const std::size_t i = index[pick];
+    }
+    while (!runnable_.empty()) {
+      const std::size_t pick = scheduler_->PickJob(runnable_, active_view_);
+      HD_CHECK_MSG(pick < runnable_.size(), "scheduler picked out of range");
+      const std::size_t i = runnable_index_[pick];
       JobState& job = *active_[i];
       const std::vector<int> task = PickTasks(job, node_id, 1);
       HD_CHECK(!task.empty());
       // A bounce (forced-GPU with the GPU busy) still consumes the job's
       // allowance, as it does in the single-job response.
-      ++assigned[i];
-      PlaceTask(job, node_id, task[0], rem_per_node[i]);
+      ++assigned_[i];
+      PlaceTask(job, node_id, task[0], rem_per_node_[i]);
+      // Within one pass free slots only shrink, allowances only get used
+      // up and only the picked job's queue changes, so no job outside the
+      // list can have become runnable: filtering it in order is the same
+      // list a rescan of active_ would build.
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < runnable_.size(); ++k) {
+        if (!Runnable(runnable_index_[k], node_id)) continue;
+        runnable_[kept] = runnable_[k];
+        runnable_index_[kept] = runnable_index_[k];
+        ++kept;
+      }
+      runnable_.resize(kept);
+      runnable_index_.resize(kept);
     }
-  } while (MaybePreemptOn(node_id, cap));
+  } while (MaybePreemptOn(node_id));
   // With every pending queue this node can serve drained, idle slots may
-  // hunt stragglers across the active jobs.
+  // hunt stragglers across the active jobs that have no pending maps.
+  if (!cfg_.speculation) return;
   for (std::size_t i = 0; i < n_active; ++i) {
-    MaybeSpeculate(*active_[i], node_id);
+    if (active_[i]->pending.empty()) MaybeSpeculate(*active_[i], node_id);
   }
 }
 
-bool MultiJobEngine::MaybePreemptOn(int node_id, std::vector<int>& cap) {
+bool MultiJobEngine::Runnable(std::size_t i, int node_id) const {
+  const JobState& job = *active_[i];
+  return !job.pending.empty() && assigned_[i] < cap_[i] &&
+         NodeHasUsableSlot(job, node_id);
+}
+
+bool MultiJobEngine::MaybePreemptOn(int node_id) {
   if (cfg_.preemption_budget <= 0) return false;
   const std::vector<double>* weights = scheduler_->pool_weights();
   if (weights == nullptr || weights->empty()) return false;
@@ -321,7 +347,7 @@ bool MultiJobEngine::MaybePreemptOn(int node_id, std::vector<int>& cap) {
   // The allowance transfer: the freed slot belongs to the claimant when
   // the fill loop re-runs, even though its heartbeat cap was computed
   // before the slot existed.
-  ++cap[starved_index];
+  ++cap_[starved_index];
   return true;
 }
 

@@ -102,14 +102,17 @@ class MultiJobEngine : public hadoop::ClusterCore {
   static void CompleteJobEvent(void* ctx, const hd::des::Payload& p);
   // Serves every active job from one TaskTracker heartbeat.
   void ClusterHeartbeat(int node_id);
+  // Whether active_[i] can take a task from `node_id` in the response
+  // being built: pending maps, allowance left, a usable slot free.
+  bool Runnable(std::size_t i, int node_id) const;
   // Capacity-quota preemption: if a pool with pending work sits below its
   // slot quota, kill the youngest attempt of an over-quota pool on this
-  // node and requeue its task. `cap` is the heartbeat's per-active-job
-  // allowance; a preemption transfers one slot of allowance from the
-  // victim to the claimant (the allowance was computed from free slots
-  // before the kill freed one). Returns true when an attempt was preempted
-  // (the fill loop then reruns for the freed slot).
-  bool MaybePreemptOn(int node_id, std::vector<int>& cap);
+  // node and requeue its task. A preemption transfers one slot of the
+  // response's allowance (cap_) from the victim to the claimant (the
+  // allowance was computed from free slots before the kill freed one).
+  // Returns true when an attempt was preempted (the fill loop then reruns
+  // for the freed slot).
+  bool MaybePreemptOn(int node_id);
   void CompleteJob(hadoop::JobState& job);
   void OnTaskFinished(hadoop::JobState& job, int node_id) override;
   void OnJobFinished(hadoop::JobState& job) override;
@@ -140,6 +143,15 @@ class MultiJobEngine : public hadoop::ClusterCore {
   std::vector<double> pulse_next_;
   double batch_next_ = -1.0;
   std::int64_t preemptions_ = 0;
+  // ClusterHeartbeat's per-response scratch, parallel to active_ (cap_,
+  // assigned_, rem_per_node_) or to the runnable list handed to PickJob
+  // (runnable_, runnable_index_); members so a heartbeat allocates nothing.
+  std::vector<int> cap_;
+  std::vector<int> assigned_;
+  std::vector<double> rem_per_node_;
+  std::vector<const hadoop::JobState*> active_view_;
+  std::vector<const hadoop::JobState*> runnable_;
+  std::vector<std::size_t> runnable_index_;
   std::function<void(const JobStats&)> on_job_done_;
   WorkloadMetrics metrics_;
 };

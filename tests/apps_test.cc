@@ -148,7 +148,9 @@ TEST_P(BenchmarkPipeline, ClusterRunMatchesGolden) {
   hadoop::JobResult result = JobEngine(cluster, &source, policy).Run();
 
   EXPECT_EQ(result.cpu_tasks + result.gpu_tasks, 4);
-  if (policy != Policy::kCpuOnly) EXPECT_GT(result.gpu_tasks, 0);
+  if (policy != Policy::kCpuOnly) {
+    EXPECT_GT(result.gpu_tasks, 0);
+  }
   const std::string diff =
       CompareWithGolden(bench, bench.golden(splits), result.final_output,
                         1e-4);

@@ -98,7 +98,9 @@ TEST(FaultInjector, CrashPlanDeterministicAndSane) {
   // last.
   std::map<int, bool> dead;
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    if (i > 0) EXPECT_GE(pa[i].at_sec, pa[i - 1].at_sec);
+    if (i > 0) {
+      EXPECT_GE(pa[i].at_sec, pa[i - 1].at_sec);
+    }
     EXPECT_LT(pa[i].at_sec, s.horizon_sec);
     EXPECT_FALSE(dead[pa[i].node]);
     if (pa[i].permanent) dead[pa[i].node] = true;

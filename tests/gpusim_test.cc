@@ -66,7 +66,7 @@ TEST(Device, TransferTimeScalesWithBytes) {
 
 TEST(TextureCache, HitsAfterFirstTouch) {
   TextureCacheSim cache(4, 128);
-  int x;
+  int x = 0;
   EXPECT_EQ(cache.Access(&x, 0, 64), 1);   // miss
   EXPECT_EQ(cache.Access(&x, 0, 64), 0);   // hit
   EXPECT_EQ(cache.Access(&x, 64, 64), 0);  // same line, hit
@@ -76,13 +76,13 @@ TEST(TextureCache, HitsAfterFirstTouch) {
 
 TEST(TextureCache, SpanningAccessTouchesMultipleLines) {
   TextureCacheSim cache(8, 128);
-  int x;
+  int x = 0;
   EXPECT_EQ(cache.Access(&x, 100, 100), 2);  // crosses a line boundary
 }
 
 TEST(TextureCache, LruEvicts) {
   TextureCacheSim cache(2, 128);
-  int x;
+  int x = 0;
   cache.Access(&x, 0, 1);    // line 0
   cache.Access(&x, 128, 1);  // line 1
   cache.Access(&x, 256, 1);  // line 2 evicts line 0
@@ -91,7 +91,7 @@ TEST(TextureCache, LruEvicts) {
 
 TEST(TextureCache, DistinctObjectsDoNotAlias) {
   TextureCacheSim cache(8, 128);
-  int x, y;
+  int x = 0, y = 0;
   cache.Access(&x, 0, 1);
   EXPECT_EQ(cache.Access(&y, 0, 1), 1);  // different object: miss
 }

@@ -38,7 +38,9 @@ TEST(Hdfs, LocalityQuery) {
     const SplitInfo& s = fs.Split("/f", i);
     EXPECT_TRUE(s.IsLocalTo(s.replicas[0]));
     for (int n = 0; n < 3; ++n) {
-      if (n != s.replicas[0]) EXPECT_FALSE(s.IsLocalTo(n));
+      if (n != s.replicas[0]) {
+        EXPECT_FALSE(s.IsLocalTo(n));
+      }
     }
   }
 }

@@ -109,9 +109,13 @@ TEST(CriticalPath, FindsKnownLongestChainWithWaitAndReduceSegments) {
 
   // Slack: off-chain tasks have the most; the chain's tail task the least.
   for (const prof::TaskRecord& t : j.tasks) {
-    if (t.task == 0) EXPECT_NEAR(t.slack_sec, 15.0, 1e-9);
-    if (t.task == 2) EXPECT_NEAR(t.slack_sec, 5.0, 1e-9);
-    if (t.task == 3) EXPECT_NEAR(t.slack_sec, 3.0, 1e-9);
+    if (t.task == 0) {
+      EXPECT_NEAR(t.slack_sec, 15.0, 1e-9);
+    } else if (t.task == 2) {
+      EXPECT_NEAR(t.slack_sec, 5.0, 1e-9);
+    } else if (t.task == 3) {
+      EXPECT_NEAR(t.slack_sec, 3.0, 1e-9);
+    }
   }
 }
 
